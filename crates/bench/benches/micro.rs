@@ -11,9 +11,7 @@ use std::hint::black_box;
 
 /// Flit-level networks under sustained random traffic (all three
 /// evaluated topologies), plus the saturated router-pair switch-hop op.
-/// The op definitions live in `nocout_bench::nocopt`, shared with the
-/// recorded trajectory keys (`micro_switch_hop_rate`,
-/// `micro_loaded_tick_rate_*`) in `benches/batch.rs`.
+/// The op definitions live in `nocout_bench::nocopt`.
 fn bench_network_tick(c: &mut Criterion) {
     use nocout_bench::nocopt;
 
@@ -76,8 +74,7 @@ fn bench_chip_tick(c: &mut Criterion) {
 /// Core hot-path structures: the ring-buffer ROB with line-indexed
 /// wakeup (dispatch → fill → retire round trips) and the end-to-end core
 /// tick on an L1-resident ALU stream (pure ring push/pop at full width).
-/// The op definitions live in `nocout_bench::memopt`, shared with the
-/// recorded trajectory keys in `benches/batch.rs`.
+/// The op definitions live in `nocout_bench::memopt`.
 fn bench_core_structs(c: &mut Criterion) {
     use nocout_bench::memopt;
 
@@ -132,8 +129,7 @@ fn bench_l1_mshr(c: &mut Criterion) {
 /// Uncore hot-path structures: LLC tile service (input ring, MSHR file
 /// and calendar-wheel output stage), the set-associative directory, and
 /// the analytic-fabric event wheel. The op definitions live in
-/// `nocout_bench::uncoreopt`, shared with the recorded trajectory keys
-/// in `benches/batch.rs`.
+/// `nocout_bench::uncoreopt`.
 fn bench_uncore(c: &mut Criterion) {
     use nocout_bench::uncoreopt;
 
@@ -206,7 +202,6 @@ fn bench_workload_gen(c: &mut Criterion) {
 }
 
 /// Service-level latency histogram: the record/merge/reset/p99 round
-/// shared with the `micro_latency_hist_rate` trajectory key
 /// (`nocout_bench::statopt`).
 fn bench_latency_hist(c: &mut Criterion) {
     use nocout_bench::statopt;

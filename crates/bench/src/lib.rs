@@ -8,20 +8,21 @@
 //!   `bench_scalability`), each exercising a scaled-down version of the
 //!   corresponding experiment pipeline,
 //! * `micro` — microbenchmarks of the simulator's hot paths (network
-//!   tick, LLC tile, L1, workload generation, RNG).
+//!   tick, LLC tile, L1, workload generation, RNG), whose named
+//!   operations are the modules below.
 //!
-//! Run with `cargo bench -p nocout-bench`. The full-fidelity experiment
-//! binaries live in `nocout-experiments`.
+//! Run with `cargo bench -p nocout-bench`. The repository's end-to-end,
+//! per-layer benchmark is `nocbench/` (see `nocbench/README.md`); the
+//! full-fidelity experiment binaries live in `nocout-experiments`.
 
 /// A short measurement window for benchmark-scale simulations.
 pub fn bench_window() -> nocout_sim::config::MeasurementWindow {
     nocout_sim::config::MeasurementWindow::new(500, 1_500)
 }
 
-/// The core/L1 memory-path microbench operations, defined once so the
-/// criterion bench (`benches/micro.rs`) and the recorded trajectory
-/// keys (`benches/batch.rs`, `micro_*` in `BENCH_batch.json`) can never
-/// drift apart in what "one op" means.
+/// The core/L1 memory-path microbench operations of `benches/micro.rs`.
+/// Each function is one named op, so a throughput reading always says
+/// what "one op" means.
 pub mod memopt {
     use nocout_cpu::model::{Core, CoreConfig};
     use nocout_cpu::rob::{RingRob, WakeupIndex};
@@ -95,10 +96,8 @@ pub mod memopt {
 }
 
 /// The uncore microbench operations — LLC tile service, directory
-/// tracking, and the analytic-fabric event wheel — defined once for the
-/// same reason as [`memopt`]: the criterion bench and the recorded
-/// trajectory keys (`micro_llc_tile_rate`, `micro_directory_rate`,
-/// `micro_fabric_wheel_rate`) must agree on what "one op" means.
+/// tracking, and the analytic-fabric event wheel — named like
+/// [`memopt`]'s.
 pub mod uncoreopt {
     use nocout_mem::addr::Addr;
     use nocout_mem::directory::Directory;
@@ -190,10 +189,7 @@ pub mod uncoreopt {
 
 /// The flit-level network microbench operations — the saturated
 /// router-pair switch hop and the per-topology loaded network tick —
-/// defined once for the same reason as [`memopt`]: the criterion bench
-/// (`benches/micro.rs`) and the recorded trajectory keys
-/// (`micro_switch_hop_rate`, `micro_loaded_tick_rate_*` in
-/// `BENCH_batch.json`) must agree on what "one op" means.
+/// named like [`memopt`]'s.
 pub mod nocopt {
     use nocout_noc::network::{Network, NetworkBuilder};
     use nocout_noc::router::RouterConfig;
@@ -207,7 +203,7 @@ pub mod nocopt {
     /// streams both ways, pre-filled so the switch allocator grants on
     /// every cycle. One *switch hop* is one granted flit traversal (the
     /// callers measure `stats().flit_hops` over the timed loop rather
-    /// than counting rounds, so the key is ns-per-hop honest).
+    /// than counting rounds, so the reading is ns-per-hop honest).
     pub fn saturated_pair() -> (Network, [TerminalId; 2]) {
         let mut b = NetworkBuilder::new(128);
         let r0 = b.add_router(RouterConfig::mesh());
@@ -236,12 +232,11 @@ pub mod nocopt {
         }
     }
 
-    /// A paper-scale network under the sustained random load of the
-    /// `benches/micro.rs` loaded-tick benchmarks (~0.5 packets injected
-    /// per cycle); one op is one `Network::tick`.
+    /// A paper-scale network under sustained random load (~0.5 packets
+    /// injected per cycle); one op is one `Network::tick`.
     pub struct LoadedNet {
-        /// Trajectory-key suffix (`mesh`, `flattened_butterfly`,
-        /// `noc_out`), matching `org_key` naming in `benches/batch.rs`.
+        /// Benchmark-name prefix (`mesh`, `flattened_butterfly`,
+        /// `noc_out`).
         pub key: &'static str,
         net: Network,
         srcs: Vec<TerminalId>,
@@ -325,10 +320,8 @@ pub mod nocopt {
     }
 }
 
-/// The service-level statistics microbench operation, defined once for
-/// the same reason as [`memopt`]: the criterion bench and the recorded
-/// trajectory key (`micro_latency_hist_rate`) must agree on what "one
-/// op" means.
+/// The service-level statistics microbench operation, named like
+/// [`memopt`]'s.
 pub mod statopt {
     use nocout_sim::stats::LatencyHist;
 

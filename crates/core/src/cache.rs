@@ -44,6 +44,7 @@
 
 use crate::metrics::{LlcSummary, MemSummary, NetSummary, SystemMetrics, TailSummary};
 use crate::runner::RunSpec;
+use nocout_sim::{fnv1a, FNV_BASIS};
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::io;
@@ -88,17 +89,8 @@ impl RunSpec {
 
     /// FNV-1a 64 hash of [`RunSpec::cache_key`] — the cache file name.
     pub fn content_hash(&self) -> u64 {
-        fnv1a(self.cache_key().as_bytes())
+        fnv1a(FNV_BASIS, self.cache_key().as_bytes())
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A directory of memoized simulation results, plus hit/miss accounting
@@ -675,13 +667,5 @@ mod tests {
         cache.put(&spec(), &metrics());
         cache.put(&spec().with_seed(2), &metrics());
         assert_eq!(cache.store_failures(), 2);
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 }

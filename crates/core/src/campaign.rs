@@ -662,68 +662,6 @@ impl ResultFrame {
     pub fn to_csv(&self) -> String {
         csv_render(&self.to_records())
     }
-
-    /// The service-level view of the frame: one row per point with the
-    /// tail-latency summaries of the point's last seed. Kept separate
-    /// from [`ResultFrame::to_records`] so the legacy CSV (and the
-    /// golden files CI compares it against) stays byte-identical.
-    ///
-    /// Percentiles come from [`LatencyHist`](nocout_sim::stats::LatencyHist)
-    /// buckets, so each is exact-to-33/32-above; counts and means are
-    /// exact.
-    pub fn tail_records(&self) -> Vec<Vec<String>> {
-        let labelled = self.points.iter().any(|p| p.label.is_some());
-        let mut header = Vec::new();
-        if labelled {
-            header.push("Variant".to_string());
-        }
-        header.extend(
-            [
-                "Organization",
-                "Cores",
-                "LinkBits",
-                "Workload",
-                "ReqCount",
-                "ReqP50",
-                "ReqP99",
-                "ReqP999",
-                "BlockP99",
-                "FillP99",
-                "LlcMissP99",
-                "NetRespP99",
-            ]
-            .map(String::from),
-        );
-        let mut records = vec![header];
-        for p in &self.points {
-            let m = &p.metrics;
-            let mut row = Vec::new();
-            if labelled {
-                row.push(p.label.clone().unwrap_or_default());
-            }
-            row.extend([
-                p.chip.organization.to_string(),
-                p.chip.cores.to_string(),
-                p.chip.link_width_bits.to_string(),
-                p.workload.to_string(),
-                m.request_latency.count.to_string(),
-                m.request_latency.p50.to_string(),
-                m.request_latency.p99.to_string(),
-                m.request_latency.p999.to_string(),
-                m.block_latency.p99.to_string(),
-                m.fill_latency.p99.to_string(),
-                m.llc_miss_latency.p99.to_string(),
-                m.network.response_tail.p99.to_string(),
-            ]);
-            records.push(row);
-        }
-        records
-    }
-
-    /// [`ResultFrame::tail_records`] rendered as CSV.
-    pub fn tail_csv(&self) -> String {
-        csv_render(&self.tail_records())
-    }
 }
 
 /// A coordinate query over a [`ResultFrame`]: every declared filter must
@@ -881,15 +819,6 @@ impl<'f> Sel<'f> {
     /// Panics if the match is not unique.
     pub fn request_tail(&self) -> TailSummary {
         self.one().metrics.request_latency
-    }
-
-    /// p99 of [`Sel::request_tail`] — the load-vs-tail-latency y axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the match is not unique.
-    pub fn request_p99(&self) -> u64 {
-        self.one().metrics.request_latency.p99
     }
 }
 

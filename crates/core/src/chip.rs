@@ -1026,13 +1026,14 @@ impl ScaleOutChip {
             llc_miss_hist.merge(&tile.stats.miss_latency);
         }
         let ns = self.fabric.stats();
+        let net_hist = ns.latency_hist();
         let network = NetSummary {
             packets: ns.packets_delivered.value(),
             mean_latency: ns.mean_latency(),
             mean_request_latency: ns.mean_class_latency(MessageClass::Request),
             mean_response_latency: ns.mean_class_latency(MessageClass::Response),
-            p50_latency: ns.latency_hist.percentile(0.5),
-            p99_latency: ns.latency_hist.percentile(0.99),
+            p50_latency: net_hist.pow2_percentile(0.5),
+            p99_latency: net_hist.pow2_percentile(0.99),
             flit_mm: ns.flit_mm,
             buffer_writes: ns.buffer_writes.value(),
             buffer_reads: ns.buffer_reads.value(),

@@ -33,6 +33,7 @@
 use super::wire::WireError;
 use crate::cache::parse_entry;
 use crate::runner::{PointError, RunSpec};
+use nocout_sim::{fnv1a, FNV_BASIS};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -41,16 +42,9 @@ const FORMAT: &str = "nocout-shard-journal v1";
 
 /// FNV-1a 64 fingerprint of a campaign's spec sequence.
 pub fn campaign_fingerprint(specs: &[RunSpec]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for spec in specs {
-        for &b in spec.cache_key().as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    specs.iter().fold(FNV_BASIS, |h, spec| {
+        fnv1a(fnv1a(h, spec.cache_key().as_bytes()), b"\n")
+    })
 }
 
 /// One outcome recovered from a journal.

@@ -38,8 +38,7 @@
 //! [`MAX_PAYLOAD`] bound and covered by the frame digest), acknowledged
 //! by [`Message::TraceAck`]. The assembled archive is re-verified
 //! against `TraceSet`'s content hash before any spec can resolve to it
-//! (`super::store`). The v1 `trace:PATH` spec form stays accepted for
-//! one version, for pools that share a filesystem.
+//! (`super::store`).
 //!
 //! ## Payloads
 //!
@@ -56,6 +55,7 @@
 use crate::config::ChipConfig;
 use crate::runner::RunSpec;
 use nocout_sim::config::MeasurementWindow;
+use nocout_sim::{fnv1a, FNV_BASIS};
 use nocout_workloads::trace::TraceSet;
 use nocout_workloads::{OpenLoopSpec, Workload, WorkloadClass};
 use std::fmt;
@@ -510,15 +510,6 @@ impl Message {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Encodes one message as a complete frame (header + payload).
 ///
 /// # Errors
@@ -536,7 +527,7 @@ pub fn encode_frame(msg: &Message) -> Result<Vec<u8>, WireError> {
     out.push(msg.kind());
     out.push(0); // flags, reserved
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&bytes).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV_BASIS, &bytes).to_le_bytes());
     out.extend_from_slice(&bytes);
     Ok(out)
 }
@@ -631,7 +622,7 @@ fn decode_after_header<R: Read>(
     ]);
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    if fnv1a(&payload) != digest {
+    if fnv1a(FNV_BASIS, &payload) != digest {
         return Err(WireError::Corrupt);
     }
     Message::from_payload(kind, &payload, traces)
@@ -719,9 +710,7 @@ pub fn render_spec(spec: &RunSpec) -> Result<String, WireError> {
 
 /// Parses one [`render_spec`] line back into a `RunSpec`, with no trace
 /// resolver: `trace@<contenthash>` specs fail with a typed "no trace
-/// store" error. The v1 `trace:PATH` form (accepted for one more
-/// version, for pools sharing a filesystem) loads its `TraceSet` from
-/// the named directory.
+/// store" error.
 ///
 /// # Errors
 ///
@@ -732,8 +721,7 @@ pub fn parse_spec(line: &str) -> Result<RunSpec, WireError> {
 
 /// Parses one [`render_spec`] line back into a `RunSpec`. Trace
 /// workloads in the `trace@<contenthash>` form resolve through `traces`
-/// (a worker's `--trace-store`); the v1 `trace:PATH` form loads from
-/// the named directory. Either way a missing, corrupt, or edited trace
+/// (a worker's `--trace-store`); a missing, corrupt, or edited trace
 /// fails here, before any simulation.
 ///
 /// # Errors
@@ -820,10 +808,6 @@ pub fn parse_spec_with(
                 ))
             })?;
         WorkloadClass::Trace(set)
-    } else if let Some(path) = workload_part.strip_prefix("trace:") {
-        WorkloadClass::from(TraceSet::load(path).map_err(|e| {
-            malformed(format!("cannot load trace `{path}`: {e}"))
-        })?)
     } else if workload_part.starts_with("openloop:") {
         WorkloadClass::from(OpenLoopSpec::parse_token(workload_part).ok_or_else(
             || malformed(format!("bad open-loop workload token `{workload_part}`")),

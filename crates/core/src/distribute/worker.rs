@@ -106,8 +106,7 @@ pub struct Worker {
 
 impl Worker {
     /// A worker executing shards on `runner`, heartbeating every 200 ms,
-    /// with no trace store (synthetic/open-loop points, plus `trace:PATH`
-    /// specs on a shared filesystem).
+    /// with no trace store (synthetic and open-loop points only).
     pub fn new(runner: BatchRunner) -> Self {
         Worker {
             runner,

@@ -155,10 +155,11 @@ pub struct NetSummary {
     pub mean_request_latency: f64,
     /// Mean response-class latency.
     pub mean_response_latency: f64,
-    /// Median end-to-end packet latency (cycles).
+    /// Median end-to-end packet latency (cycles), rounded up to a power
+    /// of two (`LatencyHist::pow2_percentile`).
     pub p50_latency: u64,
-    /// 99th-percentile end-to-end packet latency (cycles) — where the
-    /// Fig. 9 serialization spike shows first.
+    /// 99th-percentile end-to-end packet latency (cycles), rounded up
+    /// the same way — where the Fig. 9 serialization spike shows first.
     pub p99_latency: u64,
     /// Flit·mm of link traversal (energy input).
     pub flit_mm: f64,

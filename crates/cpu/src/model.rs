@@ -565,12 +565,6 @@ impl Core {
         self.l1d.snoop_downgrade(line)
     }
 
-    /// Emits a writeback request for dirty victims — called by the chip
-    /// model when it processes L1 evictions. Exposed for protocol tests.
-    pub fn l1d_mut(&mut self) -> &mut L1Cache {
-        &mut self.l1d
-    }
-
     /// Read access to the L1-I (diagnostics).
     pub fn l1i(&self) -> &L1Cache {
         &self.l1i

@@ -197,10 +197,11 @@ pub struct NetworkBuilder {
     routers: Vec<Router>,
     terminals: Vec<Terminal>,
     link_width_bits: u32,
-    /// Ejection/injection link geometry.
-    terminal_link_delay: u8,
-    terminal_link_mm: f32,
 }
+
+/// Ejection/injection link geometry: delay (cycles) and length (mm).
+const TERMINAL_LINK_DELAY: u8 = 1;
+const TERMINAL_LINK_MM: f32 = 0.5;
 
 impl NetworkBuilder {
     /// Starts a network whose links are `link_width_bits` wide (one flit per
@@ -212,16 +213,7 @@ impl NetworkBuilder {
             routers: Vec::new(),
             terminals: Vec::new(),
             link_width_bits,
-            terminal_link_delay: 1,
-            terminal_link_mm: 0.5,
         }
-    }
-
-    /// Overrides the delay/length of terminal attachment links.
-    pub fn terminal_link(&mut self, delay: u8, length_mm: f32) -> &mut Self {
-        self.terminal_link_delay = delay;
-        self.terminal_link_mm = length_mm;
-        self
     }
 
     /// Adds a router, returning its id.
@@ -343,7 +335,7 @@ impl NetworkBuilder {
             r.in_ports.push(InPort::new(
                 depth,
                 Feeder::Terminal(terminal),
-                1 + self.terminal_link_delay,
+                1 + TERMINAL_LINK_DELAY,
             ));
             (r.in_ports.len() - 1) as PortIndex
         };
@@ -352,8 +344,8 @@ impl NetworkBuilder {
             r.out_ports.push(OutPort {
                 target: OutTarget::Terminal {
                     terminal,
-                    link_delay: self.terminal_link_delay,
-                    length_mm: self.terminal_link_mm,
+                    link_delay: TERMINAL_LINK_DELAY,
+                    length_mm: TERMINAL_LINK_MM,
                 },
                 credits: [u8::MAX; CLASS_COUNT],
                 max_credits: [u8::MAX; CLASS_COUNT],

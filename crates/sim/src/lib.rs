@@ -11,7 +11,9 @@
 //!   network, memory-system and core models,
 //! * [`ring::Ring`] — the fixed-capacity ring buffer behind the uncore
 //!   hot-path FIFO queues,
-//! * [`config`] — small helpers for experiment configuration.
+//! * [`config`] — small helpers for experiment configuration,
+//! * [`fnv1a`] — the one content hash behind results-cache file names,
+//!   trace content hashes, wire frame digests and journal fingerprints.
 //!
 //! The original paper used the Flexus full-system simulation framework; this
 //! crate is the equivalent foundation for our from-scratch cycle-driven
@@ -180,9 +182,41 @@ pub const CHIP_FREQUENCY_HZ: f64 = 2.0e9;
 /// Duration of one clock cycle in picoseconds at [`CHIP_FREQUENCY_HZ`].
 pub const CYCLE_TIME_PS: f64 = 1.0e12 / CHIP_FREQUENCY_HZ;
 
+/// FNV-1a 64 offset basis: the initial state for [`fnv1a`].
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64 hash `state` (start from
+/// [`FNV_BASIS`]). Streaming: folding `a` and then `b` gives the hash
+/// of their concatenation. Cache file names, trace content hashes,
+/// frame digests and journal fingerprints all persist this value, so it
+/// must never change.
+///
+/// # Examples
+///
+/// ```
+/// use nocout_sim::{fnv1a, FNV_BASIS};
+///
+/// let whole = fnv1a(FNV_BASIS, b"foobar");
+/// assert_eq!(fnv1a(fnv1a(FNV_BASIS, b"foo"), b"bar"), whole);
+/// ```
+#[inline]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV_BASIS, b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(FNV_BASIS, b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(FNV_BASIS, b"foobar"), 0x85944171f73967e8);
+    }
 
     #[test]
     fn cycle_arithmetic() {

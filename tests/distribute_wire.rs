@@ -232,32 +232,20 @@ fn trace_specs_round_trip_by_content_hash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The v1 `trace:PATH` spec form stays parseable for one protocol
-/// version: a line hand-built in the old form loads the trace from the
-/// named directory and lands on the same cache key.
+/// The v1 `trace:PATH` spec form is gone: the handshake already refuses
+/// v1 peers, so a line carrying it is malformed, with or without a
+/// trace store — never a filesystem load.
 #[test]
-fn v1_trace_path_form_is_still_accepted() {
-    let dir = std::env::temp_dir().join(format!("nocout-wire-v1-path-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let chip = ChipConfig::paper(Organization::Mesh);
-    let trace = nocout_repro::capture_synthetic_trace(chip, Workload::WebSearch, 1, &dir, 2_000)
-        .expect("capture trace");
-    let hash = trace.content_hash();
-    let spec = RunSpec {
-        chip,
-        workload: WorkloadClass::from(trace),
-        window: MeasurementWindow::new(100, 400),
-        seed: 1,
-    };
-    let line = render_spec(&spec).expect("trace spec renders");
-    let v1_line = line.replace(
-        &format!("trace@{hash:016x}"),
-        &format!("trace:{}", dir.display()),
-    );
-    let parsed = parse_spec(&v1_line).expect("v1 path form parses without a resolver");
-    assert_eq!(parsed.cache_key(), spec.cache_key());
-    let _ = std::fs::remove_dir_all(&dir);
+fn v1_trace_path_form_is_malformed() {
+    let spec = RunSpec::new(ChipConfig::paper(Organization::Mesh), Workload::WebSearch).fast();
+    let line = render_spec(&spec).expect("spec renders");
+    let (fields, _) = line.split_once(" workload=").expect("workload token last");
+    let v1_line = format!("{fields} workload=trace:/some/dir");
+    let store = MapLookup(HashMap::new());
+    for traces in [None, Some(&store as &dyn TraceLookup)] {
+        let err = parse_spec_with(&v1_line, traces).unwrap_err();
+        assert!(matches!(err, WireError::Malformed(_)), "{err}");
+    }
 }
 
 /// Satellite contract: dialing a v1-framed stream at a v2 worker is a
