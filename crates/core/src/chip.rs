@@ -8,7 +8,7 @@
 
 use crate::config::{ChipConfig, Organization};
 use crate::metrics::{LlcSummary, MemSummary, NetSummary, SystemMetrics, TailSummary};
-use nocout_cpu::{Core, CoreConfig, CoreIdle, MissRequest};
+use nocout_cpu::{Core, CoreConfig, CoreStats, MissRequest, Wake};
 use nocout_mem::addr::{Addr, AddressMap};
 use nocout_mem::llc::{LlcConfig, LlcInput, LlcOutput, LlcTile};
 use nocout_mem::mem_ctrl::{MemChannelConfig, MemRequest, MemoryChannel};
@@ -215,6 +215,40 @@ pub struct ScaleOutChip {
     /// Whether the workload is open-loop (gates the per-cycle arrival
     /// advance so closed-loop runs pay nothing in the core loop).
     open_loop: bool,
+    /// Per active-core slot: the first cycle at which the core must be
+    /// ticked again. [`AWAKE`] while it is in the per-cycle loop, else
+    /// its timed wake cycle, or [`FILL_ONLY`] when only a fill wakes it.
+    wake_at: Vec<u64>,
+    /// Per slot: the first cycle a sleeping core skipped. Its stall
+    /// credit, `now - sleep_since`, is applied lazily (see `settle`).
+    sleep_since: Vec<u64>,
+    /// Slots currently awake (`wake_at == AWAKE`).
+    awake: usize,
+    /// Activation slot of each physical core ([`NO_SLOT`] if inactive),
+    /// so a data delivery can wake its core.
+    slot_of: Vec<usize>,
+    /// Core-cycles ticked and slept since the last statistics reset.
+    tick_counts: CoreTickCounts,
+}
+
+/// `wake_at` value of a core in the per-cycle loop (every cycle is `>=`).
+const AWAKE: u64 = 0;
+/// `wake_at` value of a core only a fill can wake (no cycle reaches it).
+const FILL_ONLY: u64 = u64::MAX;
+/// `slot_of` value of a core that runs no workload.
+const NO_SLOT: usize = usize::MAX;
+
+/// How many core-cycles the chip ticked and how many it slept through:
+/// deterministic work counters of the event-driven core loop (every
+/// active core accounts for each cycle exactly once, in one or the
+/// other). They describe the simulator, not the simulated chip, so they
+/// stay out of [`SystemMetrics`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoreTickCounts {
+    /// Core-cycles on which a core was ticked.
+    pub ticked: u64,
+    /// Core-cycles a stalled core spent asleep, credited in bulk.
+    pub slept: u64,
 }
 
 /// Builds the organization's fabric: the network plus the terminal ids
@@ -378,7 +412,7 @@ impl ScaleOutChip {
             // A trace can drive at most one core per captured stream.
             n_active = n_active.min(t.streams());
         }
-        let active = active_order[..n_active]
+        let active: Vec<(usize, CoreSource)> = active_order[..n_active]
             .iter()
             .enumerate()
             .map(|(slot, &c)| {
@@ -401,6 +435,11 @@ impl ScaleOutChip {
 
         let num_llcs = llcs.len();
         let num_mems = channels.len();
+        let num_active = active.len();
+        let mut slot_of = vec![NO_SLOT; cores.len()];
+        for (slot, (c, _)) in active.iter().enumerate() {
+            slot_of[*c] = slot;
+        }
         let mut chip = ScaleOutChip {
             cfg,
             fabric,
@@ -424,6 +463,11 @@ impl ScaleOutChip {
             fill_hist: LatencyHist::new(),
             record_tails: true,
             open_loop: matches!(&class, WorkloadClass::OpenLoop(_)),
+            wake_at: vec![AWAKE; num_active],
+            sleep_since: vec![0; num_active],
+            awake: num_active,
+            slot_of,
+            tick_counts: CoreTickCounts::default(),
         };
         chip.warm_caches(&class);
         chip
@@ -552,34 +596,102 @@ impl ScaleOutChip {
         self.fabric.inject(src, dst, class, payload, token);
     }
 
-    /// Advances the chip by one cycle, visiting only components with work:
+    /// Advances the chip by one cycle, visiting only components with work.
+    ///
     /// LLC tiles and memory channels are scanned through active sets that
     /// a component enters when traffic arrives for it and leaves when it
-    /// drains. Bit-identical to [`ScaleOutChip::tick_reference`] (a tick
-    /// of an idle component is a no-op), which the differential tests
-    /// enforce across every organization.
+    /// drains. Cores are event-driven the same way: after each tick a
+    /// core that [`Core::sleep_until`] reports provably stalled leaves
+    /// the per-cycle loop, and re-enters it at its timed wake cycle or
+    /// when a data packet is delivered to it, whichever comes first. Its
+    /// stall counters for the slept cycles are credited on wake (and in
+    /// [`ScaleOutChip::metrics`] while it still sleeps). Awake cores are
+    /// visited in ascending slot order, so requests are injected in the
+    /// order the dense loop would produce.
+    ///
+    /// Bit-identical to [`ScaleOutChip::tick_reference`] (a tick of an
+    /// idle component, or of a stalled core, changes nothing the skip
+    /// does not account for), which the differential tests enforce
+    /// across every organization and workload class.
     pub fn tick(&mut self) {
         self.tick_impl(false);
     }
 
-    /// The full-scan, per-instruction reference tick: semantically
-    /// identical to [`ScaleOutChip::tick`] but visits every LLC tile and
-    /// memory channel every cycle *and* pulls instructions across the
-    /// source trait object one at a time (`Core::tick_reference`) instead
-    /// of in blocks. Kept as the oracle for differential testing of both
-    /// the active-set scheduler and the block-based delivery path (and as
-    /// the honest baseline for their microbenchmarks). Both flavours run
-    /// on the same ring-ROB/array-MSHR core structures; those are proved
-    /// equivalent to their pre-refactor containers separately
-    /// (`tests/chip_golden_metrics.rs`, `tests/proptest_core.rs`).
+    /// The full-scan, dense, per-instruction reference tick: semantically
+    /// identical to [`ScaleOutChip::tick`] but wakes every sleeping core
+    /// and ticks every active core, visits every LLC tile and memory
+    /// channel every cycle, *and* pulls instructions across the source
+    /// trait object one at a time (`Core::tick_reference`) instead of in
+    /// blocks. Kept as the oracle for differential testing of the
+    /// event-driven core loop, the active-set scheduler and the
+    /// block-based delivery path (and as the honest baseline for their
+    /// microbenchmarks). Both flavours run on the same ring-ROB/array-MSHR
+    /// core structures; those are proved equivalent to their
+    /// pre-refactor containers separately (`tests/chip_golden_metrics.rs`,
+    /// `tests/proptest_core.rs`).
     pub fn tick_reference(&mut self) {
+        for ai in 0..self.active.len() {
+            if self.wake_at[ai] != AWAKE {
+                self.wake(ai, self.now.raw());
+            }
+        }
         self.tick_impl(true);
+    }
+
+    /// Credits slot `ai`'s sleeping core the cycles from `sleep_since` up
+    /// to (not including) `until`, which becomes its new `sleep_since`.
+    fn credit(&mut self, ai: usize, until: u64) {
+        let delta = until - self.sleep_since[ai];
+        self.cores[self.active[ai].0].credit_sleep(delta);
+        self.tick_counts.slept += delta;
+        self.sleep_since[ai] = until;
+    }
+
+    /// Returns a sleeping slot to the per-cycle loop, crediting it up to
+    /// (not including) `until`.
+    fn wake(&mut self, ai: usize, until: u64) {
+        self.credit(ai, until);
+        self.wake_at[ai] = AWAKE;
+        self.awake += 1;
+    }
+
+    /// Applies every sleeping core's pending credit up to `now`, leaving
+    /// it asleep: afterwards each core's own counters are exact.
+    fn settle(&mut self) {
+        for ai in 0..self.active.len() {
+            if self.wake_at[ai] != AWAKE {
+                self.credit(ai, self.now.raw());
+            }
+        }
+    }
+
+    /// Cycles slot `ai` has slept without being credited yet.
+    fn pending_credit(&self, ai: usize) -> u64 {
+        if self.wake_at[ai] == AWAKE {
+            0
+        } else {
+            self.now.raw() - self.sleep_since[ai]
+        }
+    }
+
+    /// Core-cycles ticked and slept since the last
+    /// [`ScaleOutChip::reset_stats`], pending sleep included: a cheap,
+    /// deterministic view of how much work the event-driven core loop
+    /// saves. [`ScaleOutChip::tick_reference`] ticks every core.
+    pub fn core_tick_counts(&self) -> CoreTickCounts {
+        let pending: u64 = (0..self.active.len())
+            .map(|ai| self.pending_credit(ai))
+            .sum();
+        CoreTickCounts {
+            ticked: self.tick_counts.ticked,
+            slept: self.tick_counts.slept + pending,
+        }
     }
 
     fn tick_impl(&mut self, full_scan: bool) {
         let now = self.now;
 
-        // 1. Cores execute and emit miss requests.
+        // 1. Awake cores execute and emit miss requests.
         let mut injections = std::mem::take(&mut self.inject_buf);
         // Open-loop arrivals land on their schedule regardless of core
         // progress (a fast-forwarded gap is caught up in one call). The
@@ -591,7 +703,17 @@ impl ScaleOutChip {
                 }
             }
         }
+        let next = now + 1;
+        let mut ticked = 0;
         for ai in 0..self.active.len() {
+            let wake_at = self.wake_at[ai];
+            if wake_at > now.raw() {
+                continue;
+            }
+            if wake_at != AWAKE {
+                // Timed wake: the ROB head completes this cycle.
+                self.wake(ai, now.raw());
+            }
             let (c, source) = {
                 let entry = &mut self.active[ai];
                 (entry.0, &mut entry.1)
@@ -602,6 +724,7 @@ impl ScaleOutChip {
             } else {
                 self.cores[c].tick(now, source, &mut self.req_buf);
             }
+            ticked += 1;
             for r in self.req_buf.drain(..) {
                 let txn = self.txns.alloc(c as u16, r.line, r.kind, now);
                 let home = self.map.home_tile(r.line);
@@ -616,7 +739,18 @@ impl ScaleOutChip {
                     },
                 ));
             }
+            if !full_scan {
+                if let Some(wake) = self.cores[c].sleep_until(next) {
+                    self.wake_at[ai] = match wake {
+                        Wake::At(at) => at.raw(),
+                        Wake::Fill => FILL_ONLY,
+                    };
+                    self.sleep_since[ai] = next.raw();
+                    self.awake -= 1;
+                }
+            }
         }
+        self.tick_counts.ticked += ticked;
         for (src, dst, msg) in injections.drain(..) {
             self.inject(src, dst, msg);
         }
@@ -685,15 +819,16 @@ impl ScaleOutChip {
         self.now.0 += 1;
     }
 
-    /// Runs `cycles` ticks, fast-forwarding through stretches where every
-    /// component is provably idle: all active cores are fetch-stalled with
-    /// nothing to retire, the LLC/memory active sets hold only timed
-    /// wakeups, and the fabric's only pending work sits in its event
-    /// wheels. The clock then jumps to the earliest wake cycle (stalled
-    /// cores receive their per-cycle stall counters in bulk), so the
-    /// result is bit-identical to calling [`ScaleOutChip::tick`] `cycles`
-    /// times — the chip-level analogue of the network's
-    /// `run_until_drained` fast-forward.
+    /// Runs `cycles` ticks, bit-identical to calling
+    /// [`ScaleOutChip::tick`] `cycles` times.
+    ///
+    /// Through stretches where every component is provably idle — every
+    /// active core asleep (see [`ScaleOutChip::tick`]), the LLC/memory
+    /// active sets holding only timed wakeups, and the fabric's only
+    /// pending work sitting in its event wheels — the clock jumps to the
+    /// earliest wake cycle instead: the chip-level analogue of the
+    /// network's `run_until_drained` fast-forward. Sleeping cores'
+    /// stall credit is settled on return.
     pub fn run_for(&mut self, cycles: u64) {
         let mut remaining = cycles;
         while remaining > 0 {
@@ -709,21 +844,24 @@ impl ScaleOutChip {
                 }
             }
         }
+        self.settle();
     }
 
     /// How many upcoming whole-chip ticks are provably no-ops (beyond
-    /// counter bumps on stalled cores). `None` when some component needs
-    /// per-cycle ticking right now.
+    /// stall credit for sleeping cores). `None` when some component
+    /// needs per-cycle ticking right now — decided in O(1) whenever a
+    /// core is awake, the common case under load.
     fn skippable_cycles(&self) -> Option<u64> {
         fn merge(wake: &mut Option<Cycle>, at: Cycle) {
             *wake = Some(wake.map_or(at, |w| w.min(at)));
         }
+        if self.awake > 0 {
+            return None;
+        }
         let mut wake: Option<Cycle> = None;
-        for (c, _) in &self.active {
-            match self.cores[*c].idle_state() {
-                CoreIdle::Busy => return None,
-                CoreIdle::Stalled => {}
-                CoreIdle::StalledUntil(at) => merge(&mut wake, at),
+        for &at in &self.wake_at {
+            if at != FILL_ONLY {
+                merge(&mut wake, Cycle(at));
             }
         }
         if !self.active_llcs.is_empty() {
@@ -764,13 +902,10 @@ impl ScaleOutChip {
         })
     }
 
-    /// Applies `delta` skipped cycles: stalled cores take their counter
-    /// bumps in bulk, the fabric clock advances, and the chip clock jumps.
+    /// Applies `delta` skipped cycles: the fabric clock advances and the
+    /// chip clock jumps. Every core is asleep, and its stall credit for
+    /// the jump accrues with the rest of its sleep.
     fn skip_idle(&mut self, delta: u64) {
-        for ai in 0..self.active.len() {
-            let c = self.active[ai].0;
-            self.cores[c].fast_forward_stalled(delta);
-        }
         self.fabric.skip_idle(delta);
         self.now.0 += delta;
     }
@@ -882,6 +1017,12 @@ impl ScaleOutChip {
                 }
                 let c = core as usize;
                 debug_assert_eq!(info.core, Some(c));
+                // A sleeping core wakes before its fill: the cycles it
+                // slept through this one were ticks in the pre-fill state.
+                let ai = self.slot_of[c];
+                if self.wake_at[ai] != AWAKE {
+                    self.wake(ai, now.raw() + 1);
+                }
                 if kind.is_ifetch() {
                     self.cores[c].fill_ifetch(line, now);
                 } else if let Some(victim) = self.cores[c].fill_data(line, now) {
@@ -951,7 +1092,11 @@ impl ScaleOutChip {
     }
 
     /// Resets all statistics at the warmup/measurement boundary.
+    /// Sleeping cores stay asleep; the cycles they slept before the
+    /// boundary are settled first, so none leak into the new window.
     pub fn reset_stats(&mut self) {
+        self.settle();
+        self.tick_counts = CoreTickCounts::default();
         for (c, _) in &self.active {
             self.cores[*c].reset_stats(self.now);
         }
@@ -991,7 +1136,9 @@ impl ScaleOutChip {
         }
     }
 
-    /// Collects the metrics accumulated since the last reset.
+    /// Collects the metrics accumulated since the last reset. A core
+    /// that is asleep right now is read with its pending stall credit
+    /// added, so the result is exact after any sequence of `tick` calls.
     pub fn metrics(&self) -> SystemMetrics {
         let mut per_core_ipc = vec![0.0; self.cores.len()];
         let mut instructions = 0u64;
@@ -1001,13 +1148,19 @@ impl ScaleOutChip {
         let mut ifetch_fill_wait_cycles = 0u64;
         let mut block_hist = LatencyHist::new();
         let mut request_hist = LatencyHist::new();
-        for (c, src) in &self.active {
-            let s = &self.cores[*c].stats;
-            per_core_ipc[*c] = s.ipc();
+        for (ai, (c, src)) in self.active.iter().enumerate() {
+            let core = &self.cores[*c];
+            let s = &core.stats;
+            let pending = self.pending_credit(ai);
+            let c_cycles = s.cycles.value() + pending;
+            per_core_ipc[*c] = CoreStats::ipc_of(s.retired.value(), c_cycles);
             instructions += s.retired.value();
-            cycles = cycles.max(s.cycles.value());
+            cycles = cycles.max(c_cycles);
             fetch_stall += s.fetch_stall_cycles.value();
-            core_cycles += s.cycles.value();
+            if core.fetch_stalled() {
+                fetch_stall += pending;
+            }
+            core_cycles += c_cycles;
             ifetch_fill_wait_cycles += s.ifetch_fill_wait_cycles.value();
             block_hist.merge(&s.block_latency);
             if let CoreSource::OpenLoop(o) = src {

@@ -21,6 +21,6 @@ pub mod model;
 pub mod rob;
 pub mod source;
 
-pub use model::{Core, CoreConfig, CoreIdle, CoreStats, MissRequest};
+pub use model::{Core, CoreConfig, CoreStats, MissRequest, Wake};
 pub use rob::{RingRob, WakeupIndex};
 pub use source::{FetchedInstr, InstructionSource, Op};

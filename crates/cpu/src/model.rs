@@ -47,21 +47,16 @@ pub struct MissRequest {
     pub kind: AccessKind,
 }
 
-/// How a core will behave over the coming cycles if no fill arrives —
-/// the contract behind the chip-level idle fast-forward.
+/// When a sleeping core must next be ticked if no fill reaches it first
+/// — the answer of [`Core::sleep_until`], the contract behind the chip's
+/// event-driven core loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreIdle {
-    /// The core is dispatching (or could dispatch) work: it must be
-    /// ticked every cycle.
-    Busy,
-    /// Fetch-stalled with nothing able to retire: every tick until the
-    /// next fill only increments stall counters, which
-    /// [`Core::fast_forward_stalled`] can apply in bulk.
-    Stalled,
-    /// Fetch-stalled, but the ROB head completes at the given cycle — the
-    /// core is linearly stalled strictly *before* that cycle and must be
-    /// ticked normally from it onward.
-    StalledUntil(Cycle),
+pub enum Wake {
+    /// The ROB head completes at this cycle: every tick strictly before
+    /// it only bumps counters, and the core must be ticked from it on.
+    At(Cycle),
+    /// Nothing but stall counters can move until a fill arrives.
+    Fill,
 }
 
 /// Per-core statistics.
@@ -93,10 +88,17 @@ pub struct CoreStats {
 impl CoreStats {
     /// Instructions per cycle over the measured window.
     pub fn ipc(&self) -> f64 {
-        if self.cycles.value() == 0 {
+        Self::ipc_of(self.retired.value(), self.cycles.value())
+    }
+
+    /// `retired / cycles`, 0 when no cycle was observed — the one IPC
+    /// formula, shared with readers that add a sleeping core's pending
+    /// cycles first.
+    pub fn ipc_of(retired: u64, cycles: u64) -> f64 {
+        if cycles == 0 {
             0.0
         } else {
-            self.retired.value() as f64 / self.cycles.value() as f64
+            retired as f64 / cycles as f64
         }
     }
 
@@ -111,6 +113,13 @@ impl CoreStats {
 /// Driven by the chip model: [`Core::tick`] advances one cycle and collects
 /// miss requests; [`Core::fill_data`]/[`Core::fill_ifetch`] deliver lines;
 /// snoops arrive via [`Core::snoop_invalidate`]/[`Core::snoop_downgrade`].
+///
+/// A caller need not tick a stalled core every cycle. After a tick at
+/// `now`, [`Core::sleep_until`]`(now + 1)` says whether the following
+/// ticks can only bump stall counters, and until when; the caller may
+/// then skip them, as long as it calls [`Core::credit_sleep`] with the
+/// number of skipped cycles before the core's next tick *and* before
+/// any fill reaches it. The result is bit-identical to dense ticking.
 ///
 /// # Examples
 ///
@@ -266,30 +275,61 @@ impl Core {
         self.stall_line != NO_LINE
     }
 
-    /// Classifies the core's upcoming cycles for the chip-level
-    /// fast-forward (see [`CoreIdle`]). Only a fetch-stalled core is
-    /// predictable: dispatch is disabled, so a tick can only retire ready
-    /// ROB entries and bump counters.
-    pub fn idle_state(&self) -> CoreIdle {
-        if self.stall_line == NO_LINE {
-            return CoreIdle::Busy;
+    /// Whether the core may sleep from cycle `next` on: `Some(wake)` when
+    /// every tick from `next` until `wake` (or, for [`Wake::Fill`], until
+    /// the next [`Core::fill_data`]/[`Core::fill_ifetch`]) would change
+    /// nothing but the counters [`Core::credit_sleep`] applies in bulk.
+    ///
+    /// That holds when the ROB head cannot retire at `next` and dispatch
+    /// is provably stuck: (a) fetch is stalled on an L1-I miss; (b) the
+    /// ROB is full; (c) the staged instruction is a dependent load while
+    /// data misses are outstanding; or (d) the staged instruction is a
+    /// memory op while the LSQ is full. Cases (c) and (d) also need the
+    /// staged instruction to sit in the resolved fetch line, so its
+    /// dispatch attempt probes no L1-I. A staged access that re-probes a
+    /// full L1 MSHR file stays awake: each retry counts as blocked.
+    pub fn sleep_until(&self, next: Cycle) -> Option<Wake> {
+        let wake = match self.rob.front() {
+            None => Wake::Fill,
+            Some(slot) if slot.is_waiting() => Wake::Fill,
+            Some(slot) if slot.retirable(next) => return None,
+            Some(slot) => Wake::At(slot.ready_at()),
+        };
+        let stuck = self.stall_line != NO_LINE || self.rob.is_full() || self.staged_is_blocked();
+        stuck.then_some(wake)
+    }
+
+    /// Cases (c) and (d) of [`Core::sleep_until`]: the staged instruction
+    /// is refused dispatch before it touches either L1, and only a data
+    /// fill (shrinking the outstanding-miss count) can change that.
+    fn staged_is_blocked(&self) -> bool {
+        let Some(instr) = &self.staged else {
+            return false;
+        };
+        if instr.fetch_line.line_index() != self.fetch_line {
+            return false;
         }
-        match self.rob.front() {
-            None => CoreIdle::Stalled,
-            Some(slot) if slot.is_waiting() => CoreIdle::Stalled,
-            Some(slot) => CoreIdle::StalledUntil(slot.ready_at()),
+        let waiting = self.wakeup.waiting();
+        match instr.op {
+            Op::Load {
+                dependent: true, ..
+            } if waiting > 0 => true,
+            Op::Load { .. } | Op::Store { .. } => waiting >= self.cfg.lsq_entries,
+            Op::Alu { .. } => false,
         }
     }
 
-    /// Applies `delta` cycles of pure stalling in one step: exactly what
-    /// `delta` consecutive [`Core::tick`] calls would do in a state
-    /// [`Core::idle_state`] reported as skippable (counters move, nothing
-    /// else can). The caller must not fast-forward across the
-    /// [`CoreIdle::StalledUntil`] boundary.
-    pub fn fast_forward_stalled(&mut self, delta: u64) {
-        debug_assert!(self.stall_line != NO_LINE, "only a stalled core skips");
+    /// Applies `delta` slept cycles in one step: exactly what `delta`
+    /// consecutive [`Core::tick`] calls add in a state
+    /// [`Core::sleep_until`] allowed to sleep — `cycles`, plus
+    /// `fetch_stall_cycles` while fetch is stalled and `mem_stall_cycles`
+    /// while the ROB head waits on data. Must be applied before a fill
+    /// changes that state.
+    pub fn credit_sleep(&mut self, delta: u64) {
         self.stats.cycles.add(delta);
-        self.stats.fetch_stall_cycles.add(delta);
+        if self.stall_line != NO_LINE {
+            self.stats.fetch_stall_cycles.add(delta);
+        }
         if self.rob.front().is_some_and(|slot| slot.is_waiting()) {
             self.stats.mem_stall_cycles.add(delta);
         }
@@ -951,10 +991,32 @@ mod tests {
         );
     }
 
+    /// Asserts the counters a sleep may credit agree between two cores.
+    fn assert_counters_match(dense: &Core, sparse: &Core) {
+        let (d, s) = (&dense.stats, &sparse.stats);
+        assert_eq!(d.cycles.value(), s.cycles.value(), "cycles");
+        assert_eq!(d.retired.value(), s.retired.value(), "retired");
+        assert_eq!(
+            d.fetch_stall_cycles.value(),
+            s.fetch_stall_cycles.value(),
+            "fetch stall"
+        );
+        assert_eq!(
+            d.mem_stall_cycles.value(),
+            s.mem_stall_cycles.value(),
+            "mem stall"
+        );
+        assert_eq!(
+            dense.l1d().blocked.value(),
+            sparse.l1d().blocked.value(),
+            "L1-D blocked"
+        );
+    }
+
     #[test]
-    fn fast_forward_matches_per_cycle_stall() {
+    fn sleep_credit_matches_per_cycle_stall() {
         // Two identical stalled cores: one ticked cycle by cycle, one
-        // fast-forwarded in a single step. Counters must match exactly.
+        // asleep and credited in a single step. Counters must match.
         let build = || {
             let mut src = ScriptedSource::new(vec![
                 FetchedInstr {
@@ -979,23 +1041,88 @@ mod tests {
         };
         let (mut dense, mut src_a) = build();
         let (mut sparse, _src_b) = build();
-        // Both are now fetch-stalled on line 64 with the load in the ROB.
-        assert_eq!(dense.idle_state(), CoreIdle::Stalled);
+        // Both are now fetch-stalled on line 64 with the load in the ROB:
+        // case (a) with a waiting head, so only a fill wakes them.
+        assert_eq!(sparse.sleep_until(Cycle(3)), Some(Wake::Fill));
         let mut out = Vec::new();
         for t in 3..40 {
             dense.tick(Cycle(t), &mut src_a, &mut out);
         }
-        sparse.fast_forward_stalled(37);
-        assert_eq!(dense.stats.cycles.value(), sparse.stats.cycles.value());
-        assert_eq!(
-            dense.stats.fetch_stall_cycles.value(),
-            sparse.stats.fetch_stall_cycles.value()
-        );
-        assert_eq!(
-            dense.stats.mem_stall_cycles.value(),
-            sparse.stats.mem_stall_cycles.value()
-        );
-        assert_eq!(dense.stats.retired.value(), sparse.stats.retired.value());
+        sparse.credit_sleep(37);
+        assert_counters_match(&dense, &sparse);
+        assert!(sparse.stats.mem_stall_cycles.value() >= 37);
+    }
+
+    #[test]
+    fn dependent_load_behind_a_miss_sleeps_until_its_fill() {
+        // Case (c): a dependent load staged behind an outstanding miss
+        // cannot dispatch until the fill; sleeping through the wait and
+        // crediting it, then filling both cores, must match dense ticks.
+        let build = || {
+            let load = |addr| FetchedInstr {
+                fetch_line: Addr(0),
+                op: Op::Load {
+                    addr: Addr(addr),
+                    dependent: true,
+                },
+            };
+            let mut src = ScriptedSource::new(vec![load(0x5000), load(0x6000)]);
+            let mut core = Core::new(CoreConfig::a15());
+            let mut out = Vec::new();
+            core.tick(Cycle(0), &mut src, &mut out);
+            core.fill_ifetch(Addr(0), Cycle(0));
+            core.tick(Cycle(1), &mut src, &mut out);
+            (core, src)
+        };
+        let (mut dense, mut src_a) = build();
+        let (mut sparse, mut src_b) = build();
+        assert!(!sparse.fetch_stalled());
+        assert_eq!(sparse.sleep_until(Cycle(2)), Some(Wake::Fill));
+        let mut out = Vec::new();
+        for t in 2..30 {
+            dense.tick(Cycle(t), &mut src_a, &mut out);
+        }
+        sparse.credit_sleep(28);
+        assert_counters_match(&dense, &sparse);
+        // The fill at 29 wakes both; from 30 on they tick in lockstep.
+        dense.fill_data(Addr(0x5000), Cycle(29));
+        sparse.fill_data(Addr(0x5000), Cycle(29));
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        for t in 30..40 {
+            dense.tick(Cycle(t), &mut src_a, &mut out_a);
+            sparse.tick(Cycle(t), &mut src_b, &mut out_b);
+        }
+        assert_eq!(out_a, out_b, "post-wake request streams");
+        assert_counters_match(&dense, &sparse);
+    }
+
+    #[test]
+    fn blocked_mshr_retry_stays_awake() {
+        // Nine independent loads to distinct lines: the L1-D MSHR file
+        // (8) fills before the 16-entry LSQ, so the ninth re-probes the
+        // L1-D every cycle and bumps its blocked counter — not a sleep.
+        let script: Vec<FetchedInstr> = (0..9)
+            .map(|i| FetchedInstr {
+                fetch_line: Addr(0),
+                op: Op::Load {
+                    addr: Addr(0x10000 + i * 64),
+                    dependent: false,
+                },
+            })
+            .collect();
+        let mut src = ScriptedSource::new(script);
+        let mut core = Core::new(CoreConfig::a15());
+        let mut out = Vec::new();
+        core.tick(Cycle(0), &mut src, &mut out);
+        core.fill_ifetch(Addr(0), Cycle(0));
+        for t in 1..=5 {
+            core.tick(Cycle(t), &mut src, &mut out);
+        }
+        let blocked = core.l1d().blocked.value();
+        assert!(blocked > 0, "the ninth load must be blocked");
+        assert_eq!(core.sleep_until(Cycle(6)), None);
+        core.tick(Cycle(6), &mut src, &mut out);
+        assert_eq!(core.l1d().blocked.value(), blocked + 1);
     }
 
     /// A looping stream with fetch-line transitions, loads, stores and
@@ -1094,7 +1221,7 @@ mod tests {
     }
 
     /// A core stalled on an ifetch miss with one completed-but-unretired
-    /// ALU op in the ROB: `idle_state` is `StalledUntil(ready)`.
+    /// ALU op in the ROB: it may sleep until the op's completion cycle.
     fn stalled_until_core() -> (Core, ScriptedSource, Cycle) {
         let mut src = ScriptedSource::new(vec![
             FetchedInstr {
@@ -1118,68 +1245,56 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_zero_delta_is_a_no_op() {
+    fn credit_sleep_zero_delta_is_a_no_op() {
         let (mut core, _src, _) = stalled_until_core();
         let before_cycles = core.stats.cycles.value();
         let before_stall = core.stats.fetch_stall_cycles.value();
-        core.fast_forward_stalled(0);
+        core.credit_sleep(0);
         assert_eq!(core.stats.cycles.value(), before_cycles);
         assert_eq!(core.stats.fetch_stall_cycles.value(), before_stall);
     }
 
     #[test]
-    fn fast_forward_to_exact_wake_cycle_matches_dense_ticking() {
-        // The ROB head becomes ready at some cycle `w`; the contract lets
-        // the caller skip strictly up to (not across) `w`. Landing the
-        // fast-forward exactly on the wake boundary and ticking from
-        // there must match dense per-cycle ticking bit for bit.
-        let (dense_core, mut dense_src, start) = stalled_until_core();
-        let (sparse_core, mut sparse_src, _) = stalled_until_core();
-        let wake = match dense_core.idle_state() {
-            CoreIdle::StalledUntil(at) => at,
-            other => panic!("expected StalledUntil, got {other:?}"),
+    fn sleep_to_exact_wake_cycle_matches_dense_ticking() {
+        // The ROB head becomes ready at some cycle `w`: the core sleeps
+        // strictly up to (not across) `w`. Crediting exactly the slept
+        // cycles and ticking from `w` on must match dense per-cycle
+        // ticking bit for bit.
+        let (mut dense_core, mut dense_src, start) = stalled_until_core();
+        let (mut sparse_core, mut sparse_src, _) = stalled_until_core();
+        let next = start + 1;
+        let wake = match sparse_core.sleep_until(next) {
+            Some(Wake::At(at)) => at,
+            other => panic!("expected a timed wake, got {other:?}"),
         };
-        let delta = wake.raw() - (start.raw() + 1);
-        let mut dense_core = dense_core;
-        let mut sparse_core = sparse_core;
+        // Not sleepable from the wake cycle itself: the head retires there.
+        assert_eq!(sparse_core.sleep_until(wake), None);
         let mut out = Vec::new();
-        for t in (start.raw() + 1)..wake.raw() {
+        for t in next.raw()..wake.raw() {
             dense_core.tick(Cycle(t), &mut dense_src, &mut out);
         }
-        sparse_core.fast_forward_stalled(delta);
+        sparse_core.credit_sleep(wake.raw() - next.raw());
         // From the wake cycle onward both must be ticked normally.
         for t in wake.raw()..wake.raw() + 10 {
             dense_core.tick(Cycle(t), &mut dense_src, &mut out);
             sparse_core.tick(Cycle(t), &mut sparse_src, &mut out);
         }
-        assert_eq!(dense_core.stats.cycles.value(), sparse_core.stats.cycles.value());
-        assert_eq!(
-            dense_core.stats.retired.value(),
-            sparse_core.stats.retired.value()
-        );
-        assert_eq!(
-            dense_core.stats.fetch_stall_cycles.value(),
-            sparse_core.stats.fetch_stall_cycles.value()
-        );
-        assert_eq!(
-            dense_core.stats.mem_stall_cycles.value(),
-            sparse_core.stats.mem_stall_cycles.value()
-        );
+        assert_counters_match(&dense_core, &sparse_core);
     }
 
     #[test]
-    fn fast_forward_already_idle_core_counts_pure_stall() {
+    fn sleeping_fetch_stalled_core_counts_pure_stall() {
         // Fetch-stalled with an empty ROB (nothing will ever retire until
-        // the fill arrives): `Stalled` — any delta is skippable and only
-        // the stall counters move.
+        // the fill arrives): only a fill wakes it, any delta may be
+        // credited, and only the stall counters move.
         let mut src = alu_stream();
         let mut core = Core::new(CoreConfig::a15());
         let mut out = Vec::new();
         core.tick(Cycle(0), &mut src, &mut out);
         assert!(core.fetch_stalled());
-        assert_eq!(core.idle_state(), CoreIdle::Stalled);
+        assert_eq!(core.sleep_until(Cycle(1)), Some(Wake::Fill));
         let retired_before = core.stats.retired.value();
-        core.fast_forward_stalled(1_000);
+        core.credit_sleep(1_000);
         assert_eq!(core.stats.retired.value(), retired_before);
         assert_eq!(core.stats.fetch_stall_cycles.value(), 1_000);
         assert_eq!(core.stats.cycles.value(), 1_001);
@@ -1188,10 +1303,10 @@ mod tests {
     }
 
     #[test]
-    fn idle_state_reports_busy_when_dispatching() {
+    fn dispatching_core_does_not_sleep() {
         let mut src = alu_stream();
-        let (core, _, _) = warm_core(&mut src);
-        assert_eq!(core.idle_state(), CoreIdle::Busy);
+        let (core, now, _) = warm_core(&mut src);
+        assert_eq!(core.sleep_until(now + 1), None);
     }
 
     #[test]

@@ -115,15 +115,11 @@ impl SimRng {
 
     /// Geometric draw: number of failures before the first success of a
     /// Bernoulli(p) process. Returns 0 when `p >= 1`. Used for inter-arrival
-    /// style sampling in the workload models.
+    /// style sampling in the workload models. A caller drawing repeatedly
+    /// with one `p` should build a [`Geometric`] once instead.
     #[inline]
     pub fn geometric(&mut self, p: f64) -> u64 {
-        if p >= 1.0 {
-            return 0;
-        }
-        let p = p.max(1e-12);
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
+        Geometric::new(p).sample(self)
     }
 
     /// Selects an index in `[0, weights.len())` with probability
@@ -144,6 +140,51 @@ impl SimRng {
             x -= *w;
         }
         weights.len() - 1
+    }
+}
+
+/// A geometric distribution for a fixed `p`, with the per-draw constant
+/// `ln(1 - p)` computed once: draws are bit-identical to
+/// [`SimRng::geometric`] with the same `p`, minus one `ln` each.
+///
+/// # Examples
+///
+/// ```
+/// use nocout_sim::rng::{Geometric, SimRng};
+///
+/// let (mut a, mut b) = (SimRng::new(3), SimRng::new(3));
+/// let g = Geometric::new(0.2);
+/// assert_eq!(g.sample(&mut a), b.geometric(0.2));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Geometric {
+    /// `ln(1 - p)` with `p` clamped to at least `1e-12`; `None` when
+    /// `p >= 1` (every draw is 0 and consumes no randomness).
+    ln_q: Option<f64>,
+}
+
+impl Geometric {
+    /// The distribution of failures before the first success of a
+    /// Bernoulli(`p`) process.
+    pub fn new(p: f64) -> Self {
+        let ln_q = if p >= 1.0 {
+            None
+        } else {
+            Some((1.0 - p.max(1e-12)).ln())
+        };
+        Geometric { ln_q }
+    }
+
+    /// One draw from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+        match self.ln_q {
+            None => 0,
+            Some(ln_q) => {
+                let u = rng.next_f64().max(f64::MIN_POSITIVE);
+                (u.ln() / ln_q).floor() as u64
+            }
+        }
     }
 }
 
@@ -297,6 +338,20 @@ mod tests {
         let mean = total as f64 / n as f64;
         let expect = (1.0 - p) / p;
         assert!((mean - expect).abs() < 0.15, "mean was {mean}, want {expect}");
+    }
+
+    #[test]
+    fn prebuilt_geometric_matches_per_call_draw() {
+        // Hoisting `ln(1 - p)` must not move a single bit of any draw,
+        // nor the RNG position (p >= 1 consumes nothing).
+        for p in [0.0, 1e-15, 0.03, 0.25, 0.5, 0.999, 1.0, 2.0] {
+            let g = Geometric::new(p);
+            let (mut a, mut b) = (SimRng::new(5), SimRng::new(5));
+            for _ in 0..1_000 {
+                assert_eq!(g.sample(&mut a), b.geometric(p), "p = {p}");
+            }
+            assert_eq!(a, b, "p = {p}: generators diverged");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::profile::WorkloadProfile;
 use nocout_cpu::source::{FetchedInstr, InstructionSource, Op};
 use nocout_mem::addr::{Addr, LINE_BYTES};
-use nocout_sim::rng::{SimRng, Zipf};
+use nocout_sim::rng::{Geometric, SimRng, Zipf};
 
 /// Base of the shared instruction region.
 pub const INSTR_BASE: u64 = 0x0100_0000_0000;
@@ -38,6 +38,9 @@ pub struct WorkloadGen {
     core: u16,
     rng: SimRng,
     hot_zipf: Zipf,
+    /// Fetch-line run length minus one, with the profile's mean run
+    /// length (built once: its `ln` is constant per stream).
+    run_extra: Geometric,
     current_line: u64,
     remaining_in_run: u32,
     /// Cumulative op-mix thresholds: one uniform draw against this table
@@ -64,11 +67,14 @@ impl WorkloadGen {
         // matches the profile's per-field fractions exactly.
         let mix_mem = profile.mem_op_fraction;
         let mix_alu_long = mix_mem + (1.0 - mix_mem) * profile.alu_long_fraction;
+        // Geometric run length with the configured mean (≥ 1).
+        let cont = 1.0 - 1.0 / profile.mean_run_length.max(1.0);
         WorkloadGen {
             profile,
             core,
             rng,
             hot_zipf,
+            run_extra: Geometric::new(1.0 - cont),
             current_line,
             remaining_in_run: 1,
             mix_mem,
@@ -137,9 +143,7 @@ impl WorkloadGen {
                         .rng
                         .next_below((p.instr_footprint_lines - p.instr_hot_lines) as u64)
             };
-            // Geometric run length with the configured mean (≥ 1).
-            let cont = 1.0 - 1.0 / p.mean_run_length.max(1.0);
-            self.remaining_in_run = 1 + self.rng.geometric(1.0 - cont) as u32;
+            self.remaining_in_run = 1 + self.run_extra.sample(&mut self.rng) as u32;
         }
         self.remaining_in_run -= 1;
         let fetch_line = Addr(INSTR_BASE + self.current_line * LINE_BYTES);

@@ -28,9 +28,9 @@
 //! * With no request in service and none queued, the source emits
 //!   single-instruction fillers (a 1-cycle ALU op on the hottest, warmed
 //!   instruction line) so the core stays responsive: each idle cycle the
-//!   arrival schedule is re-checked. Cores therefore never quiesce under
-//!   open-loop load, which also keeps the chip's idle fast-forward out of
-//!   the picture.
+//!   arrival schedule is re-checked. An idle core therefore never sleeps
+//!   (only one stalled while serving a request does), which also keeps
+//!   the chip's whole-chip fast-forward out of the picture.
 //!
 //! Unlike the closed-loop sources, the instruction *sequence* is
 //! timing-dependent (how many fillers separate two requests depends on

@@ -1,18 +1,22 @@
-//! The event-driven chip tick's contract: active-set scheduling, idle
-//! fast-forward and block-based instruction delivery never change
-//! results.
+//! The event-driven chip tick's contract: active-set scheduling,
+//! sleeping cores, idle fast-forward and block-based instruction
+//! delivery never change results.
 //!
 //! `ScaleOutChip::tick` visits only LLC tiles and memory channels with
-//! pending work and feeds every core in instruction *blocks* (one
-//! virtual `refill` per 64 instructions), and `ScaleOutChip::run_for`
-//! jumps over globally idle stretches; all of it must be bit-identical
-//! to the full-scan, per-instruction reference (`tick_reference`)
-//! across every organization, workload mix and seed — the same
-//! differential pattern `tests/batch_determinism.rs` applies to the
-//! parallel batch engine and `tests/trace_replay.rs` to the trace
-//! workload class.
+//! pending work, takes provably stalled cores out of the per-cycle core
+//! loop until their fill or timed wake (crediting their stall counters
+//! in bulk), and feeds every core in instruction *blocks* (one virtual
+//! `refill` per 64 instructions); `ScaleOutChip::run_for` jumps over
+//! globally idle stretches. All of it must be bit-identical to the
+//! dense, full-scan, per-instruction reference (`tick_reference`) across
+//! every organization, workload class and seed — the same differential
+//! pattern `tests/batch_determinism.rs` applies to the parallel batch
+//! engine and `tests/trace_replay.rs` to the trace workload class.
 
 use nocout_repro::prelude::*;
+use nocout_repro::substrates::workloads::{OpenLoopSpec, TraceSet};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const ALL_ORGS: [Organization; 5] = [
     Organization::Mesh,
@@ -199,4 +203,151 @@ fn low_occupancy_chip_drains_through_active_sets() {
             chip.inflight_transactions()
         );
     }
+}
+
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        TempDir(std::env::temp_dir().join(format!(
+            "nocout-chip-event-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        )))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Cycles per lockstep step (uneven lengths, so steps end at varied phases
+/// of the cores' stalls).
+const STEPS: [u64; 6] = [211, 150, 337, 180, 263, 259];
+
+/// Advances `fast` with sleeping cores and `reference` densely through
+/// the same cycles, comparing full metrics after every step. Steps
+/// alternate between raw `tick()` calls (so a read lands in the middle
+/// of sleeps, with credit still pending) and `run_for` (which settles),
+/// and the statistics reset falls right after raw ticks, while cores
+/// sleep. Returns the fast chip's tick counts over the measured window.
+fn lockstep(cfg: ChipConfig, class: WorkloadClass, seed: u64, ctx: &str) -> (u64, u64) {
+    const RESET_AFTER_STEP: usize = 2;
+    let mut fast = ScaleOutChip::new(cfg, class.clone(), seed);
+    let mut reference = ScaleOutChip::new(cfg, class, seed);
+    let mut measured = 0;
+    for (i, &n) in STEPS.iter().enumerate() {
+        if i % 2 == 0 {
+            for _ in 0..n {
+                fast.tick();
+            }
+        } else {
+            fast.run_for(n);
+        }
+        for _ in 0..n {
+            reference.tick_reference();
+        }
+        let ctx = format!("{ctx} after step {i}");
+        assert_eq!(fast.now(), reference.now(), "{ctx}: clocks");
+        assert_eq!(
+            fast.inflight_transactions(),
+            reference.inflight_transactions(),
+            "{ctx}: in-flight txns"
+        );
+        let (fm, rm) = (fast.metrics(), reference.metrics());
+        assert_metrics_identical(&fm, &rm, &ctx);
+        assert_eq!(fm.block_latency, rm.block_latency, "{ctx}: block tail");
+        assert_eq!(fm.fill_latency, rm.fill_latency, "{ctx}: fill tail");
+        assert_eq!(
+            fm.request_latency, rm.request_latency,
+            "{ctx}: request tail"
+        );
+        assert_eq!(
+            fm.ifetch_fill_wait_cycles, rm.ifetch_fill_wait_cycles,
+            "{ctx}"
+        );
+        if i > RESET_AFTER_STEP {
+            measured += n;
+        }
+        if i == RESET_AFTER_STEP {
+            fast.reset_stats();
+            reference.reset_stats();
+            assert_eq!(fast.core_tick_counts(), Default::default(), "{ctx}");
+        }
+    }
+    // Every active core accounts for every measured cycle exactly once;
+    // the reference sleeps through none.
+    let counts = fast.core_tick_counts();
+    let cores = fast.active_cores() as u64;
+    assert_eq!(
+        counts.ticked + counts.slept,
+        cores * measured,
+        "{ctx}: tick accounting"
+    );
+    let dense = reference.core_tick_counts();
+    assert_eq!(
+        (dense.ticked, dense.slept),
+        (cores * measured, 0),
+        "{ctx}: dense accounting"
+    );
+    (counts.ticked, counts.slept)
+}
+
+/// Sleeping cores against the dense reference on all six workloads and
+/// five organizations, for each workload class: synthetic, open-loop
+/// and captured-trace replay.
+#[test]
+fn sleeping_cores_match_dense_reference_on_every_workload_class() {
+    let seed = 4;
+    let window = MeasurementWindow::new(0, STEPS.iter().sum());
+    for org in ALL_ORGS {
+        let cfg = ChipConfig::paper(org);
+        for workload in Workload::ALL {
+            let dir = TempDir::new("trace");
+            capture_synthetic_trace(cfg, workload, seed, &dir.0, trace_capture_len(&window))
+                .expect("capture");
+            let classes = [
+                ("synthetic", WorkloadClass::from(workload)),
+                (
+                    "open-loop",
+                    WorkloadClass::OpenLoop(OpenLoopSpec {
+                        workload,
+                        interval: 50,
+                        service_instrs: 32,
+                    }),
+                ),
+                (
+                    "trace",
+                    WorkloadClass::Trace(TraceSet::load(&dir.0).expect("load")),
+                ),
+            ];
+            for (name, class) in classes {
+                let ctx = format!("{org} {workload:?} {name}");
+                let (ticked, slept) = lockstep(cfg, class, seed, &ctx);
+                assert!(ticked > 0 && slept > 0, "{ctx}: cores never slept");
+            }
+        }
+    }
+}
+
+/// Full-load Data Serving on the mesh keeps most core-cycles asleep
+/// (about 89% when this was written): a change that silently stops
+/// cores from sleeping fails here, long before it shows as a slowdown.
+#[test]
+fn full_load_cores_mostly_sleep() {
+    let mut chip = ScaleOutChip::new(
+        ChipConfig::paper(Organization::Mesh),
+        Workload::DataServing,
+        1,
+    );
+    chip.run_for(2_000);
+    chip.reset_stats();
+    chip.run_for(20_000);
+    let counts = chip.core_tick_counts();
+    assert_eq!(counts.ticked + counts.slept, 64 * 20_000);
+    let share = counts.slept as f64 / (64 * 20_000) as f64;
+    assert!(share >= 0.8, "slept share {share:.3} ({counts:?})");
 }
